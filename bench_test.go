@@ -237,6 +237,22 @@ func BenchmarkExploreSweepShared(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreSweepSkewed times a cold sweep of the same 24 geometries
+// over DCT and mpeg2enc at parallelism 2 — two workloads whose data traces
+// differ about 3:1 in length, the shape of perfbench's sweep-cold workload.
+// Without cost-balanced pass widths the short workload's core idles while
+// the long one finishes, so this is the local proxy for that workload's
+// wall time.
+func BenchmarkExploreSweepSkewed(b *testing.B) {
+	space := explore.EngineBenchSpace()
+	space.Workloads = []workloads.Workload{workloads.DCT(), workloads.MPEG2Enc()}
+	for i := 0; i < b.N; i++ {
+		if _, err := explore.Run(context.Background(), space, explore.WithParallelism(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExploreSweepLive is the same sweep with trace sharing disabled —
 // one full simulator execution per grid point, the pre-engine behavior. The
 // ratio to BenchmarkExploreSweepShared is the engine's speedup.

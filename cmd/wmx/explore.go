@@ -37,10 +37,10 @@ func runExplore(args []string) {
 	wl := fs.String("workloads", "", "comma-separated benchmark names and/or synthetic specs (default: all seven benchmarks)")
 	packet := fs.Uint("packet", 0, "fetch-packet bytes (0 = the 8-byte VLIW packet)")
 	cacheDir := fs.String("cache-dir", "", "memoize grid points in this directory (reruns skip simulated points)")
-	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE1); reruns replay instead of simulating")
+	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
 	noShare := fs.Bool("no-trace-share", false, "execute every grid point live instead of replaying shared traces")
 	replayBatch := fs.Bool("replay-batch", true, "replay captures in batched fan-out passes sharded across workers (=false: one per-event pass per technique sink)")
-	par := fs.Int("j", 0, "grid points to simulate concurrently (0 = GOMAXPROCS)")
+	par := fs.Int("j", 0, "worker budget: goroutines replaying grid points at once (0 = GOMAXPROCS)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	md := fs.Bool("md", false, "emit a markdown report")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")

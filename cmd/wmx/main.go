@@ -63,7 +63,7 @@
 // times faster on sweeps). Replays run as batched fan-out passes — one walk
 // of the capture feeds every attached technique sink — and -replay-batch=false
 // falls back to the legacy one-pass-per-sink replay as an escape hatch.
-// With -trace-dir the captures are spilled as WMTRACE1 files and reloaded
+// With -trace-dir the captures are spilled as WMTRACE2 files and reloaded
 // by later invocations; -cpuprofile and -memprofile write pprof profiles of
 // whatever was run.
 package main
@@ -108,7 +108,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	par := flag.Int("j", 0, "benchmarks to simulate concurrently (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "",
-		"spill captured event traces to this directory (WMTRACE1); reruns replay instead of simulating")
+		"spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
 	replayBatch := flag.Bool("replay-batch", true,
 		"replay captures in one batched fan-out pass per workload (=false: one per-event pass per technique sink)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -12,9 +12,10 @@
 // suite runner in internal/suite, and the table/figure rendering in
 // internal/experiments.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure:
+// See README.md for a tour and ARCHITECTURE.md for the system inventory
+// (its "Known deviations from the paper" section covers paper-versus-
+// measured results). The benchmarks in bench_test.go regenerate every
+// table and figure:
 //
 //	go test -bench=. -benchmem
 package waymemo

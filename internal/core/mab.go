@@ -38,9 +38,10 @@ const (
 	PolicyEvictInvalidate Policy = iota
 	// PolicyPaper relies solely on the paper's LRU argument and the
 	// large-displacement clearing rule. The controllers detect and count
-	// (rare) violations of MAB ⊆ cache under this policy; see DESIGN.md for
-	// a concrete interleaving that triggers one when the number of tag
-	// entries equals the number of cache ways.
+	// (rare) violations of MAB ⊆ cache under this policy; see
+	// ARCHITECTURE.md, "Known deviations from the paper", for a concrete
+	// interleaving that triggers one when the number of tag entries equals
+	// the number of cache ways.
 	PolicyPaper
 )
 

@@ -3,7 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -110,8 +110,12 @@ func WithCacheDir(dir string) Option {
 	}
 }
 
-// WithParallelism bounds the number of grid points simulated concurrently
-// (default and n <= 0: GOMAXPROCS). Results are identical at every level.
+// WithParallelism sets the sweep's worker budget (default and n <= 0:
+// GOMAXPROCS): the number of goroutines replaying at once. A replay pass
+// over one workload's points may take several workers, which split its
+// technique sinks while sharing one decode of the trace, so the budget
+// counts cores kept busy, not grid points in flight. Results are identical
+// at every level.
 func WithParallelism(n int) Option {
 	return func(o *options) error { o.parallelism = n; return nil }
 }
@@ -134,11 +138,12 @@ func WithTraceSharing(on bool) Option {
 
 // WithBatchReplay toggles the batched fan-out scheduling (default on).
 // Batched, the engine turns a sweep into per-(workload, packet) fan-out
-// tasks: each workload's uncached grid points are sharded across the worker
-// pool, and every shard instantiates its points' technique sinks and feeds
-// them all from a single pass over the workload's captured trace
-// (suite.TraceCache.FanOut) — so a G-geometry sweep streams each capture a
-// handful of times instead of once per technique per geometry. Off, the
+// passes: each workload's uncached grid points are cut into passes of at
+// most 64 points, and every pass instantiates its points' technique sinks
+// and feeds them all from a single pass over the workload's captured trace
+// (suite.TraceCache.FanOutWidth), spread over as many workers as its share
+// of the work earns — so a G-geometry sweep streams each capture a handful
+// of times instead of once per technique per geometry. Off, the
 // engine schedules one task per grid point, each replaying the capture once
 // per sink — the legacy path, kept as an escape hatch for regression
 // hunting. Results are bit-identical either way; ignored when trace sharing
@@ -147,7 +152,7 @@ func WithBatchReplay(on bool) Option {
 	return func(o *options) error { o.noBatch = !on; return nil }
 }
 
-// WithTraceDir additionally spills captured traces to dir as WMTRACE1 files
+// WithTraceDir additionally spills captured traces to dir as WMTRACE2 files
 // (created if needed), so a later sweep in a fresh process reloads them
 // instead of executing at all. An empty dir is an error.
 func WithTraceDir(dir string) Option {
@@ -269,39 +274,38 @@ func runPerPoint(ctx context.Context, s Space, pts []Point, techs []suite.Techni
 
 // fanPoint is one grid point awaiting simulation, with its result-cache
 // key already computed by the probe phase (empty without a cache) so the
-// shard worker stores the result without rehashing the inputs.
+// pass stores the result without rehashing the inputs.
 type fanPoint struct {
 	pt  Point
 	key string
 }
 
-// fanShard is one scheduling unit of the batched fan-out: a slice of one
-// workload's uncached grid points whose technique sinks are all fed by a
-// single pass over the workload's capture.
-type fanShard struct {
-	w   workloads.Workload
-	pts []fanPoint
+// fanPass is one scheduling unit of the batched fan-out: up to
+// maxShardPoints of one workload's uncached grid points, whose technique
+// sinks are all fed by a single pass over the workload's capture. cost —
+// the capture's events on the swept stream times the points — is the
+// delivery work the pass will do.
+type fanPass struct {
+	w    workloads.Workload
+	pts  []fanPoint
+	cost int64
 }
 
-// maxShardPoints bounds how many grid points one shard instantiates at
+// maxShardPoints bounds how many grid points one pass instantiates at
 // once, capping the controller state a single fan-out pass holds live.
-// minShardPoints floors the split the other way: below four points per
-// pass, the fixed cost of decoding the capture's compressed columns stops
-// amortizing and the sweep degenerates toward one-replay-per-point, so the
-// scheduler prefers fewer, fuller shards over perfectly even worker
-// occupancy.
-const (
-	maxShardPoints = 64
-	minShardPoints = 4
-)
+const maxShardPoints = 64
 
 // runFanOut is the batched per-(workload, packet) scheduler: result-cache
-// hits are served first without touching the trace engine, then each
-// workload's remaining points are sharded across the worker pool and every
-// shard replays the capture once into all of its points' technique sinks.
-// Point results land at their grid index and every point still gets its
-// start/done progress pair, so ordering and reporting are indistinguishable
-// from the per-point scheduler.
+// hits are served first without touching the trace engine, every missed
+// workload is then captured (in parallel), and its remaining points are
+// cut into passes of at most maxShardPoints, each replaying the capture
+// once into all of its points' technique sinks. Passes start longest first
+// and take workers from the parallelism budget in proportion to their share
+// of the work still unstarted, so one heavy workload spreads over the
+// cores the light ones leave idle instead of finishing alone. Point results
+// land at their grid index and every point still gets its start/done
+// progress pair, so ordering and reporting are indistinguishable from the
+// per-point scheduler.
 func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Technique,
 	mabs []core.Config, o options, tc *suite.TraceCache,
 	report func(Progress), results []PointResult) (int, int, error) {
@@ -309,7 +313,6 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	// finishes the sweep without a single capture or replay.
 	hits := 0
 	missed := make(map[string][]fanPoint, len(s.Workloads))
-	groups := 0
 	for _, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return hits, 0, err
@@ -327,60 +330,79 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 				continue
 			}
 		}
-		if len(missed[pt.Workload.Name]) == 0 {
-			groups++
-		}
 		missed[pt.Workload.Name] = append(missed[pt.Workload.Name], fanPoint{pt: pt, key: key})
 	}
-	if groups == 0 {
+	var ws []workloads.Workload
+	for _, w := range s.Workloads {
+		if len(missed[w.Name]) > 0 {
+			ws = append(ws, w)
+		}
+	}
+	if len(ws) == 0 {
 		return hits, 0, nil
 	}
 
-	// Phase 2: shard each workload's missed points — enough shards to keep
-	// every worker busy, few enough that each capture is streamed a handful
-	// of times, and never more than maxShardPoints technique sets live per
-	// pass. The boundaries depend only on the grid and the parallelism, so
-	// results stay deterministic.
-	par := o.parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	perGroup := (par + groups - 1) / groups
-	var shards []fanShard
-	for _, w := range s.Workloads {
-		group := missed[w.Name]
-		if len(group) == 0 {
-			continue
+	// Phase 2: capture every missed workload up front, so each pass's cost
+	// is known before any pass is sized.
+	events := make([]int64, len(ws))
+	if err := pool.Run(ctx, len(ws), o.parallelism, func(runCtx context.Context, i int) error {
+		c, err := tc.Capture(runCtx, ws[i], s.PacketBytes)
+		if err != nil {
+			return err
 		}
-		k := perGroup
-		if maxK := (len(group) + minShardPoints - 1) / minShardPoints; k > maxK {
-			k = maxK
+		events[i] = int64(c.Buf.NumDatas())
+		if s.Domain == suite.Fetch {
+			events[i] = int64(c.Buf.NumFetches())
 		}
-		if minK := (len(group) + maxShardPoints - 1) / maxShardPoints; k < minK {
-			k = minK
-		}
-		for _, r := range pool.Split(len(group), k) {
-			shards = append(shards, fanShard{w: w, pts: group[r[0]:r[1]]})
-		}
+		return nil
+	}); err != nil {
+		return hits, 0, err
 	}
 
+	// Phase 3: one pass per (workload, chunk of at most maxShardPoints),
+	// longest first. The order and the chunk boundaries depend only on the
+	// grid, and each sink sees the whole stream at any width, so results
+	// stay deterministic.
+	var passes []fanPass
+	var left int64 // cost of the passes not yet started
+	for i, w := range ws {
+		group := missed[w.Name]
+		for _, r := range pool.Split(len(group), (len(group)+maxShardPoints-1)/maxShardPoints) {
+			p := fanPass{w: w, pts: group[r[0]:r[1]], cost: events[i] * int64(r[1]-r[0])}
+			passes = append(passes, p)
+			left += p.cost
+		}
+	}
+	sort.SliceStable(passes, func(a, b int) bool { return passes[a].cost > passes[b].cost })
+
+	// A starting pass takes ceil(free × cost / left) workers — its share of
+	// the unstarted work — capped by its sink count.
+	share := func(i, free int) int {
+		p := passes[i]
+		k := 1
+		if left > 0 {
+			k = int((int64(free)*p.cost + left - 1) / left)
+		}
+		left -= p.cost
+		return min(k, len(p.pts)*len(techs))
+	}
 	var misses atomic.Int64
-	err := pool.Run(ctx, len(shards), o.parallelism, func(runCtx context.Context, idx int) error {
-		sh := shards[idx]
-		for _, fp := range sh.pts {
+	err := pool.RunBudget(ctx, len(passes), o.parallelism, share, func(runCtx context.Context, idx, width int) error {
+		p := passes[idx]
+		for _, fp := range p.pts {
 			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry, Workload: fp.pt.Workload.Name})
 		}
-		// Instantiate this shard's technique sinks only now, so the memory
-		// a sweep holds live is bounded by the active shards, not the grid.
-		// Pairs are laid out technique-major (all of one technique's
-		// instances across the shard's points adjacent) so each decoded
-		// block sweeps through structurally identical controllers together —
-		// their tables share layout, keeping the delivery loop's working set
-		// coherent. ReplayAll delivers the full stream to every sink
-		// regardless of pair order, so results are unaffected.
-		insts := make([][]suite.Instance, len(sh.pts))
-		pairs := make([]trace.SinkPair, len(sh.pts)*len(techs))
-		for pi, fp := range sh.pts {
+		// Instantiate this pass's technique sinks only now, so the memory
+		// a sweep holds live is bounded by the active passes, not the grid.
+		// Pairs are laid out point-major, in allocation order: a wide pass
+		// splits them into contiguous groups, so each consumer gets every
+		// technique of its own run of geometries, built side by side in
+		// memory no other consumer writes. Every sink receives the full
+		// stream regardless of pair order or width, so results are
+		// unaffected.
+		insts := make([][]suite.Instance, len(p.pts))
+		pairs := make([]trace.SinkPair, 0, len(p.pts)*len(techs))
+		for pi, fp := range p.pts {
 			insts[pi] = make([]suite.Instance, len(techs))
 			for ti, tech := range techs {
 				inst := tech.New(fp.pt.Geometry)
@@ -401,14 +423,14 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 					pair.Fetch = inst.Fetch
 				}
 				insts[pi][ti] = inst
-				pairs[ti*len(sh.pts)+pi] = pair
+				pairs = append(pairs, pair)
 			}
 		}
-		c, err := tc.FanOut(runCtx, sh.w, s.PacketBytes, pairs, len(sh.pts))
+		c, err := tc.FanOutWidth(runCtx, p.w, s.PacketBytes, pairs, len(p.pts), width)
 		if err != nil {
 			return err
 		}
-		for pi, fp := range sh.pts {
+		for pi, fp := range p.pts {
 			pr := assemblePoint(fp.pt, techs, mabs, insts[pi], c.Cycles, c.Instrs)
 			if o.cache != nil {
 				if err := o.cache.Put(fp.key, pr); err != nil {

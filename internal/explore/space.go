@@ -30,7 +30,7 @@
 // technique, so each workload is executed once per sweep and its captured
 // trace is replayed to every geometry of the grid — G×W grid points cost W
 // executions plus G×W cheap replays, bit-identical to executing each point
-// live. WithTraceDir spills the captures as WMTRACE1 files for reuse across
+// live. WithTraceDir spills the captures as WMTRACE2 files for reuse across
 // processes; WithTraceSharing(false) restores the old one-execution-per-
 // point behavior.
 package explore

@@ -29,13 +29,13 @@ func (e *PanicError) Error() string {
 }
 
 // call runs one job invocation with panic containment.
-func call(ctx context.Context, idx int, fn func(ctx context.Context, idx int) error) (err error) {
+func call(idx int, fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Index: idx, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, idx)
+	return fn()
 }
 
 // Split partitions n items into at most k contiguous, non-empty ranges
@@ -75,6 +75,20 @@ func Split(n, k int) [][2]int {
 // ended first. A panicking invocation is recovered and surfaces as a
 // *PanicError for that index; it cancels the rest like any other failure.
 func Run(ctx context.Context, n, par int, fn func(ctx context.Context, idx int) error) error {
+	return RunBudget(ctx, n, par, nil, func(ctx context.Context, idx, _ int) error {
+		return fn(ctx, idx)
+	})
+}
+
+// RunBudget is Run for jobs that can use more than one worker each. The
+// par workers form a budget: jobs start in index order, each as soon as at
+// least one worker is free, and width(idx, free) — called serially, in
+// index order, with the number of free workers at that moment — picks how
+// many workers job idx takes, clamped to [1, free] (a nil width takes one).
+// fn receives the granted width, and the workers return to the budget when
+// it returns. Cancellation, first-error and panic semantics are Run's.
+func RunBudget(ctx context.Context, n, par int, width func(idx, free int) int,
+	fn func(ctx context.Context, idx, width int) error) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -99,26 +113,41 @@ func Run(ctx context.Context, n, par int, fn func(ctx context.Context, idx int) 
 		})
 	}
 
-	jobs := make(chan int)
+	// At most par jobs run at once (each holds at least one worker), so
+	// returning a width never blocks.
+	returned := make(chan int, par)
+	free := par
 	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
+	for idx := 0; idx < n; idx++ {
+		if free == 0 {
+			free += <-returned
+		}
+	collect:
+		for {
+			select {
+			case k := <-returned:
+				free += k
+			default:
+				break collect
+			}
+		}
+		if runCtx.Err() != nil {
+			break // a job failed or the caller cancelled: start nothing new
+		}
+		k := 1
+		if width != nil {
+			k = min(max(width(idx, free), 1), free)
+		}
+		free -= k
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range jobs {
-				if runCtx.Err() != nil {
-					continue // drain: a job failed or the caller cancelled
-				}
-				if err := call(runCtx, idx, fn); err != nil {
-					fail(err)
-				}
+			if err := call(idx, func() error { return fn(runCtx, idx, k) }); err != nil {
+				fail(err)
 			}
+			returned <- k
 		}()
 	}
-	for idx := 0; idx < n; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
 	wg.Wait()
 
 	if firstErr != nil {

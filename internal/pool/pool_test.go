@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversEveryIndex(t *testing.T) {
@@ -149,5 +151,48 @@ func TestRunPanicContained(t *testing.T) {
 	}
 	if want := "pool: job 0 panicked: poisoned item"; err.Error() != want {
 		t.Fatalf("error text %q, want %q", err.Error(), want)
+	}
+}
+
+// TestRunBudgetWidths: every job gets the width it asks for, clamped to
+// [1, free workers], and the widths of the jobs running at once never sum
+// past the budget.
+func TestRunBudgetWidths(t *testing.T) {
+	const par = 4
+	var (
+		mu      sync.Mutex
+		running int
+		peak    int
+	)
+	granted := make([]int, 40)
+	err := RunBudget(context.Background(), len(granted), par,
+		func(idx, free int) int {
+			if free < 1 || free > par {
+				t.Errorf("job %d offered %d free workers", idx, free)
+			}
+			return idx%6 - 1 // asks for -1..4: below, within and above the budget
+		},
+		func(ctx context.Context, idx, width int) error {
+			mu.Lock()
+			running += width
+			peak = max(peak, running)
+			mu.Unlock()
+			granted[idx] = width
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			running -= width
+			mu.Unlock()
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, w := range granted {
+		if w < 1 || w > min(max(idx%6-1, 1), par) {
+			t.Errorf("job %d granted width %d for a request of %d", idx, w, idx%6-1)
+		}
+	}
+	if peak > par {
+		t.Errorf("running widths peaked at %d, budget %d", peak, par)
 	}
 }

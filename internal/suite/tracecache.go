@@ -197,16 +197,23 @@ func (tc *TraceCache) Capture(ctx context.Context, w workloads.Workload, packet 
 // FanOut replays the capture for (w, packet) to every registered pair in a
 // single batched pass over the trace (trace.Buffer.ReplayAll), capturing or
 // disk-loading it first if needed. runs is the number of logical benchmark
-// runs the pass serves — suite.Run passes 1 per workload, a sharded explore
-// task passes its grid-point count — and is what Stats().Replays advances
-// by, so the counter keeps meaning "benchmark runs served by replay"
-// however wide the fan-out is.
+// runs the pass serves — suite.Run passes 1 per workload, an explore pass
+// passes its grid-point count — and is what Stats().Replays advances by, so
+// the counter keeps meaning "benchmark runs served by replay" however wide
+// the fan-out is. It is FanOutWidth at width 1.
 func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs int) (Capture, error) {
+	return tc.FanOutWidth(ctx, w, packet, pairs, runs, 1)
+}
+
+// FanOutWidth is FanOut with the pass's sinks spread over up to width
+// goroutines (trace.Buffer.ReplayAllWidth). The stream is still decoded
+// once, so a pass of any width counts as one pass in Stats.
+func (tc *TraceCache) FanOutWidth(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs, width int) (Capture, error) {
 	c, err := tc.Capture(ctx, w, packet)
 	if err != nil {
 		return Capture{}, err
 	}
-	if err := c.Buf.ReplayAll(ctx, pairs); err != nil {
+	if err := c.Buf.ReplayAllWidth(ctx, pairs, width); err != nil {
 		return Capture{}, err
 	}
 	var deliveries int64
