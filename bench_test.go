@@ -9,6 +9,7 @@ package waymemo_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -194,7 +195,7 @@ func BenchmarkSuiteSequential(b *testing.B) {
 // cache with the batched fan-out engine (the default): every benchmark is
 // one pass over its captured stream feeding all eight techniques. The ratio
 // to BenchmarkSuite is the per-pass cost the execute-once / replay-many
-// engine removes from repeated runs (ablations, report mode, sweeps).
+// engine removes from repeated runs (-trace-dir reruns, sweeps).
 func BenchmarkSuiteReplay(b *testing.B) {
 	tc := suite.NewTraceCache()
 	if _, err := suite.Run(context.Background(), suite.WithTraceCache(tc)); err != nil {
@@ -222,6 +223,20 @@ func BenchmarkSuiteReplayPerSink(b *testing.B) {
 			suite.WithBatchReplay(false)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReport times the fused report (wmx -exp report -j 2): one pool
+// of (kernel, packet) tasks, each executing live once with every study's
+// techniques attached, rendered into io.Discard. It is a local proxy for
+// perfbench's report workload.
+func BenchmarkReport(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rep, err := experiments.RunReport(context.Background(), nil, 2, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep.WriteMarkdown(io.Discard)
 	}
 }
 

@@ -20,8 +20,10 @@
 // Running with -exp all (the default) executes the seven-benchmark suite
 // once and prints every table and figure of the evaluation section. The
 // ablation studies (ablation-d, ablation-i, consistency, packet) go beyond
-// the paper's figures; report emits the full EXPERIMENTS.md on stdout.
-// Benchmarks run concurrently (-j workers, default GOMAXPROCS).
+// the paper's figures; report emits the full EXPERIMENTS.md on stdout,
+// executing each (kernel, packet width) once with every study's techniques
+// attached. Benchmarks — under report, (kernel, packet) tasks — run
+// concurrently (-j workers, default GOMAXPROCS).
 //
 // The explore mode runs the design-space engine (internal/explore): each
 // axis flag takes a comma-separated list (L), the grid is their cross
@@ -57,14 +59,15 @@
 // shared, byte-budgeted result + trace store serves everyone. See
 // tools/loadgen for the matching load harness.
 //
-// Both modes run on the execute-once / replay-many trace engine: each
-// workload is simulated once per process and its captured event stream is
-// replayed to every technique and geometry (bit-identical results, several
-// times faster on sweeps). Replays run as batched fan-out passes — one walk
-// of the capture feeds every attached technique sink — and -replay-batch=false
-// falls back to the legacy one-pass-per-sink replay as an escape hatch.
-// With -trace-dir the captures are spilled as WMTRACE2 files and reloaded
-// by later invocations; -cpuprofile and -memprofile write pprof profiles of
+// The explore and serve modes run on the execute-once / replay-many trace
+// engine: each workload is simulated once per process and its captured
+// event stream is replayed to every technique and geometry (bit-identical
+// results, several times faster on sweeps). Replays run as batched fan-out
+// passes — one walk of the capture feeds every attached technique sink —
+// and -replay-batch=false falls back to the legacy one-pass-per-sink replay
+// as an escape hatch. With -trace-dir the captures are spilled as WMTRACE2
+// files and reloaded by later invocations (the -exp mode then captures and
+// replays too); -cpuprofile and -memprofile write pprof profiles of
 // whatever was run.
 package main
 
@@ -106,7 +109,8 @@ func main() {
 		"experiment to run: "+strings.Join(expNames, ", ")+
 			" (the design-space mode is separate; see: wmx explore -h)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	par := flag.Int("j", 0, "benchmarks to simulate concurrently (0 = GOMAXPROCS)")
+	par := flag.Int("j", 0,
+		"simulations to run concurrently: benchmarks, or (kernel, packet) tasks under -exp report (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "",
 		"spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
 	replayBatch := flag.Bool("replay-batch", true,
@@ -145,42 +149,27 @@ func main() {
 
 	ctx := context.Background()
 
-	// One trace cache shared by every run below: with -trace-dir, captures
-	// spill to disk and later invocations replay instead of simulating; the
-	// report mode — many suite passes over the same workloads — always
-	// shares an in-memory cache, so each workload executes once and every
-	// ablation replays its capture. The packet ablation is the exception:
-	// each non-default packet size needs its own whole-suite capture that
-	// nothing else reuses, so sharing the cache there would only pin
-	// hundreds of MB of one-shot captures — it joins the sharing only when
-	// the user asked for cross-run reuse with -trace-dir.
-	base := []suite.Option{suite.WithParallelism(*par), suite.WithBatchReplay(*replayBatch)}
-	common := base
-	packetCommon := common
+	// With -trace-dir, every run below goes through one trace cache that
+	// spills captures to disk, so later invocations replay instead of
+	// simulating.
+	common := []suite.Option{suite.WithParallelism(*par), suite.WithBatchReplay(*replayBatch)}
 	if *traceDir != "" {
 		tc, err := suite.NewDirTraceCache(*traceDir)
 		exitOn(err)
-		common = append(base[:len(base):len(base)], suite.WithTraceCache(tc))
-		packetCommon = common
-	} else if which == "report" {
-		common = append(base[:len(base):len(base)], suite.WithTraceCache(suite.NewTraceCache()))
+		common = append(common, suite.WithTraceCache(tc))
 	}
 
-	runSuite := func(banner string) *experiments.Results {
-		fmt.Fprintln(os.Stderr, banner)
-		r, err := suite.Run(ctx, append([]suite.Option{
-			suite.WithProgress(func(p suite.Progress) {
-				if p.Done {
-					fmt.Fprintf(os.Stderr, "  %s done\n", p.Workload)
-				}
-			})}, common...)...)
-		exitOn(err)
-		return r
-	}
-
+	done := func(name string) { fmt.Fprintf(os.Stderr, "  %s done\n", name) }
 	var results *experiments.Results
 	if which == "all" || strings.HasPrefix(which, "fig") {
-		results = runSuite("running the seven-benchmark suite...")
+		fmt.Fprintln(os.Stderr, "running the seven-benchmark suite...")
+		var err error
+		results, err = suite.Run(ctx, append(common, suite.WithProgress(func(p suite.Progress) {
+			if p.Done {
+				done(p.Workload)
+			}
+		}))...)
+		exitOn(err)
 	}
 
 	// ran guards the expNames list against drifting from the dispatch
@@ -245,24 +234,18 @@ func main() {
 	}
 	if which == "packet" {
 		ran = true
-		rows, err := experiments.AblationPacket(ctx, packetCommon...)
+		rows, err := experiments.AblationPacket(ctx, common...)
 		exitOn(err)
 		emit(experiments.PacketTable(rows))
 	}
 	if which == "report" {
 		// Regenerate EXPERIMENTS.md on stdout: the full suite plus every
-		// ablation study.
+		// study, one live execution per (kernel, packet width).
 		ran = true
-		results := runSuite("running the seven-benchmark suite and all ablations...")
-		ablD, err := experiments.AblationD(ctx, common...)
+		fmt.Fprintln(os.Stderr, "running the seven-benchmark suite and all ablations...")
+		rep, err := experiments.RunReport(ctx, nil, *par, done, common...)
 		exitOn(err)
-		ablI, err := experiments.AblationI(ctx, common...)
-		exitOn(err)
-		cons, err := experiments.AblationConsistency(ctx, common...)
-		exitOn(err)
-		packet, err := experiments.AblationPacket(ctx, packetCommon...)
-		exitOn(err)
-		experiments.WriteMarkdown(os.Stdout, results, ablD, ablI, cons, packet)
+		rep.WriteMarkdown(os.Stdout)
 	}
 	if !ran {
 		// Unreachable while expNames and the dispatch above agree; catches

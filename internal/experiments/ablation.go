@@ -22,9 +22,10 @@ import (
 // "Known deviations from the paper"), and a
 // fetch-packet-width sensitivity study.
 //
-// Each study expresses its one-off configurations as ad hoc suite.Technique
-// values (no registration needed) and hands them to suite.Run, so the
-// studies inherit the runner's parallelism and cancellation for free.
+// Each study is a technique list, whose one-off configurations are ad hoc
+// suite.Technique values (no registration needed), plus an aggregate over
+// *suite.Results. The Ablation* functions run one study through suite.Run;
+// RunReport feeds every study from one shared execution per kernel.
 
 // AblationRow is one technique's aggregate over the seven benchmarks.
 type AblationRow struct {
@@ -45,6 +46,35 @@ func iTech(id suite.ID, f suite.Factory) suite.Technique {
 	return suite.Technique{ID: id, Domain: suite.Fetch, New: f}
 }
 
+// registered names a default-registry technique by key. Its nil factory
+// marks it as shared: several studies may list it, whereas an ad hoc
+// technique belongs to one study (see unionTechniques).
+func registered(d suite.Domain, id suite.ID) suite.Technique {
+	return suite.Technique{ID: id, Domain: d}
+}
+
+// resolve replaces the registered references in techs, in place.
+func resolve(techs []suite.Technique) []suite.Technique {
+	for i, t := range techs {
+		if t.New == nil {
+			techs[i] = suite.MustLookup(t.Domain, t.ID)
+		}
+	}
+	return techs
+}
+
+// runStudy runs one study's techniques over the suite on the paper's
+// geometry (extra options pass through) and aggregates its table.
+func runStudy[R any](ctx context.Context, techs []suite.Technique, opts []suite.Option,
+	agg func(*suite.Results, []suite.Technique) []R) ([]R, error) {
+	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
+	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(resolve(techs)...))...)
+	if err != nil {
+		return nil, err
+	}
+	return agg(r, techs), nil
+}
+
 // lineBufferEnergies is the single-entry line buffer shared by the
 // line-buffer baseline and the MAB+line-buffer combination.
 func lineBufferEnergies(geo cache.Config) cacti.BufferEnergies {
@@ -55,9 +85,14 @@ func lineBufferEnergies(geo cache.Config) cacti.BufferEnergies {
 // of Section 2 and the paper's announced line-buffer combination. Extra
 // suite options (parallelism, progress, ...) pass through to the runner.
 func AblationD(ctx context.Context, opts ...suite.Option) ([]AblationRow, error) {
+	return runStudy(ctx, ablationDTechs(), opts, aggregateAblation)
+}
+
+// ablationDTechs lists the D-cache study's techniques in table order.
+func ablationDTechs() []suite.Technique {
 	l0geo := cache.Config{Sets: 8, Ways: 1, LineBytes: 32} // 256B filter cache
-	techs := []suite.Technique{
-		suite.MustLookup(suite.Data, DOrig),
+	return []suite.Technique{
+		registered(suite.Data, DOrig),
 		dTech("two-phase[8]", func(geo cache.Config) suite.Instance {
 			c := baseline.NewTwoPhaseD(geo)
 			return suite.Instance{Data: c, Stats: c.Stats, Model: suite.ArrayModel(geo)}
@@ -74,8 +109,8 @@ func AblationD(ctx context.Context, opts ...suite.Option) ([]AblationRow, error)
 			m.Buffer = cacti.LineBuffer(cacti.Tech130, l0geo.Sets, l0geo.LineBytes, 24)
 			return suite.Instance{Data: c, Stats: c.Stats, Model: m}
 		}),
-		suite.MustLookup(suite.Data, DSetBuf),
-		suite.MustLookup(suite.Data, DMAB),
+		registered(suite.Data, DSetBuf),
+		registered(suite.Data, DMAB),
 		dTech("mab-2x8+linebuf", func(geo cache.Config) suite.Instance {
 			c := core.NewDLineBufferController(geo, core.DefaultD)
 			m := suite.ArrayModel(geo)
@@ -84,19 +119,18 @@ func AblationD(ctx context.Context, opts ...suite.Option) ([]AblationRow, error)
 			return suite.Instance{Data: c, Stats: c.Stats, Model: m}
 		}),
 	}
-	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
-	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateAblation(r, techs, true), nil
 }
 
 // AblationI compares the instruction-cache techniques of Section 2.
 func AblationI(ctx context.Context, opts ...suite.Option) ([]AblationRow, error) {
-	techs := []suite.Technique{
-		suite.MustLookup(suite.Fetch, IOrig),
-		suite.MustLookup(suite.Fetch, IA4),
+	return runStudy(ctx, ablationITechs(), opts, aggregateAblation)
+}
+
+// ablationITechs lists the I-cache study's techniques in table order.
+func ablationITechs() []suite.Technique {
+	return []suite.Technique{
+		registered(suite.Fetch, IOrig),
+		registered(suite.Fetch, IA4),
 		iTech("way-predict[9]", func(geo cache.Config) suite.Instance {
 			c := baseline.NewWayPredictI(geo)
 			return suite.Instance{Fetch: c, Stats: c.Stats, Model: suite.ArrayModel(geo)}
@@ -107,19 +141,14 @@ func AblationI(ctx context.Context, opts ...suite.Option) ([]AblationRow, error)
 			m.Buffer = cacti.LineBuffer(cacti.Tech130, 1, 1, 2) // two link bits
 			return suite.Instance{Fetch: c, Stats: c.Stats, Model: m}
 		}),
-		suite.MustLookup(suite.Fetch, IMAB16),
+		registered(suite.Fetch, IMAB16),
 	}
-	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
-	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateAblation(r, techs, false), nil
 }
 
 // aggregateAblation averages per-benchmark counters into one row per
-// technique, preserving the technique order.
-func aggregateAblation(r *suite.Results, techs []suite.Technique, withBuf bool) []AblationRow {
+// technique, preserving the technique order; buffer hit rates are
+// D-cache only.
+func aggregateAblation(r *suite.Results, techs []suite.Technique) []AblationRow {
 	rows := make([]AblationRow, len(techs))
 	for i, t := range techs {
 		rows[i].Tech = string(t.ID)
@@ -135,7 +164,7 @@ func aggregateAblation(r *suite.Results, techs []suite.Technique, withBuf bool) 
 			rows[i].Ways += s.WaysPerAccess()
 			rows[i].PowerMW += power.Compute(s, b.Cycles, tr.Model).TotalMW()
 			rows[i].CyclePenalty += float64(s.ExtraCycles) / float64(b.Cycles)
-			if withBuf && s.BufReads+s.SetBufReads > 0 {
+			if t.Domain == suite.Data && s.BufReads+s.SetBufReads > 0 {
 				rows[i].BufHitRate += float64(s.BufHits+s.SetBufHits) /
 					float64(s.BufReads+s.SetBufReads)
 			}
@@ -175,6 +204,12 @@ type ConsistencyRow struct {
 // paper's pure LRU rules (including both readings of the §3.3 large-
 // displacement clearing rule).
 func AblationConsistency(ctx context.Context, opts ...suite.Option) ([]ConsistencyRow, error) {
+	return runStudy(ctx, consistencyTechs(), opts, aggregateConsistency)
+}
+
+// consistencyTechs lists one D-MAB technique per consistency policy, each
+// reported under its policy name.
+func consistencyTechs() []suite.Technique {
 	configs := []struct {
 		name string
 		cfg  core.Config
@@ -195,18 +230,19 @@ func AblationConsistency(ctx context.Context, opts ...suite.Option) ([]Consisten
 			return suite.Instance{Data: ctl, Stats: ctl.Stats}
 		})
 	}
-	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
-	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ConsistencyRow, len(configs))
-	for i, c := range configs {
-		rows[i].Policy = c.name
+	return techs
+}
+
+// aggregateConsistency sums violations and averages the MAB hit rate and
+// tag reads per policy, preserving the technique order.
+func aggregateConsistency(r *suite.Results, techs []suite.Technique) []ConsistencyRow {
+	rows := make([]ConsistencyRow, len(techs))
+	for i, t := range techs {
+		rows[i].Policy = string(t.ID)
 	}
 	for _, b := range r.Benchmarks {
-		for i := range techs {
-			s := b.D[techs[i].ID].Stats
+		for i, t := range techs {
+			s := b.D[t.ID].Stats
 			rows[i].Violations += s.Violations
 			rows[i].MABHitRate += s.MABHitRate()
 			rows[i].TagsPerAcc += s.TagsPerAccess()
@@ -217,7 +253,7 @@ func AblationConsistency(ctx context.Context, opts ...suite.Option) ([]Consisten
 		rows[i].MABHitRate /= n
 		rows[i].TagsPerAcc /= n
 	}
-	return rows, nil
+	return rows
 }
 
 // ConsistencyTable renders the consistency ablation.
@@ -240,42 +276,50 @@ type PacketRow struct {
 	MABTags     float64 // 2x16 MAB tags/access
 }
 
+// packetWidths are the fetch-packet sizes of the packet-width study.
+var packetWidths = []uint32{4, 8, 16}
+
 // AblationPacket re-runs the suite with 4-, 8- and 16-byte fetch packets:
 // wider packets mean fewer I-cache accesses but a smaller intra-line
 // sequential fraction per access.
 func AblationPacket(ctx context.Context, opts ...suite.Option) ([]PacketRow, error) {
-	techs := []suite.Technique{
-		suite.MustLookup(suite.Fetch, IA4),
-		suite.MustLookup(suite.Fetch, IMAB16),
-	}
 	var rows []PacketRow
-	for _, pb := range []uint32{4, 8, 16} {
-		runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
-		r, err := suite.Run(ctx, append(runOpts,
-			suite.WithTechniques(techs...), suite.WithPacketBytes(pb))...)
+	for _, pb := range packetWidths {
+		row, err := runStudy(ctx, packetTechs(), append(opts[:len(opts):len(opts)], suite.WithPacketBytes(pb)),
+			func(r *suite.Results, _ []suite.Technique) []PacketRow { return []PacketRow{packetRow(pb, r)} })
 		if err != nil {
 			return nil, err
 		}
-		row := PacketRow{PacketBytes: pb}
-		var nb float64
-		for _, b := range r.Benchmarks {
-			a4, mab := b.I[IA4].Stats, b.I[IMAB16].Stats
-			row.Cycles += b.Cycles
-			var total uint64
-			for _, f := range a4.Flow {
-				total += f
-			}
-			row.IntraSeq += float64(a4.Flow[trace.IntraSeq]) / float64(total)
-			row.A4Tags += a4.TagsPerAccess()
-			row.MABTags += mab.TagsPerAccess()
-			nb++
-		}
-		row.IntraSeq /= nb
-		row.A4Tags /= nb
-		row.MABTags /= nb
-		rows = append(rows, row)
+		rows = append(rows, row...)
 	}
 	return rows, nil
+}
+
+// packetTechs lists the packet study's techniques: approach [4], whose
+// flow counters give the intra-line sequential share, and the 2x16 MAB.
+func packetTechs() []suite.Technique {
+	return []suite.Technique{registered(suite.Fetch, IA4), registered(suite.Fetch, IMAB16)}
+}
+
+// packetRow aggregates one packet width's results into its table row.
+func packetRow(pb uint32, r *suite.Results) PacketRow {
+	row := PacketRow{PacketBytes: pb}
+	for _, b := range r.Benchmarks {
+		a4, mab := b.I[IA4].Stats, b.I[IMAB16].Stats
+		row.Cycles += b.Cycles
+		var total uint64
+		for _, f := range a4.Flow {
+			total += f
+		}
+		row.IntraSeq += float64(a4.Flow[trace.IntraSeq]) / float64(total)
+		row.A4Tags += a4.TagsPerAccess()
+		row.MABTags += mab.TagsPerAccess()
+	}
+	n := float64(len(r.Benchmarks))
+	row.IntraSeq /= n
+	row.A4Tags /= n
+	row.MABTags /= n
+	return row
 }
 
 // PacketTable renders the packet-width ablation.
