@@ -399,6 +399,32 @@ func BenchmarkDController(b *testing.B) {
 	}
 }
 
+// BenchmarkPointController measures one grid point of a D-cache sweep on
+// the DCT capture: the conventional baseline and the paper's eight MAB
+// sizes (1-2 tags x 4-32 sets) on one shared cache model (core.Point), fed
+// the whole data stream per iteration. The point is built once, so the
+// loop is the steady state, which must not allocate.
+func BenchmarkPointController(b *testing.B) {
+	var buf trace.Buffer
+	if _, err := workloads.Run(workloads.DCT(), &buf, &buf); err != nil {
+		b.Fatal(err)
+	}
+	evs := buf.Datas()
+	var mabs []core.Config
+	for _, nt := range []int{1, 2} {
+		for _, ns := range []int{4, 8, 16, 32} {
+			mabs = append(mabs, core.Config{TagEntries: nt, SetEntries: ns})
+		}
+	}
+	p := core.NewPoint(cache.FRV32K, mabs...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.OnDataBatch(evs)
+	}
+	b.ReportMetric(float64(len(evs)*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkAssembler measures assembling the largest benchmark program
 // (runtime prologue plus the mpeg2 encoder and its embedded frames).
 func BenchmarkAssembler(b *testing.B) {

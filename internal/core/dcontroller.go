@@ -14,10 +14,14 @@ import (
 //
 // Stores model the FR-V write-back buffer (§4): even without the MAB they
 // read all tag ways but write only the single matching data way.
+//
+// It is the one-MAB, no-baseline case of Point.
 type DController struct {
 	Cache *cache.Cache
 	MAB   *MAB
 	Stats *stats.Counters
+
+	pt Point
 }
 
 var (
@@ -28,96 +32,15 @@ var (
 // NewDController builds a cache plus MAB pair with the consistency policy
 // wiring requested in mcfg.
 func NewDController(geo cache.Config, mcfg Config) *DController {
-	c := cache.New(geo)
-	m := New(mcfg, geo)
-	d := &DController{Cache: c, MAB: m, Stats: &stats.Counters{}}
-	if mcfg.Consistency == PolicyEvictInvalidate {
-		c.OnEvict = m.OnEviction
-	}
+	d := &DController{}
+	d.pt.init(geo, nil, []Config{mcfg})
+	d.Cache, d.MAB, d.Stats = d.pt.Cache, d.pt.MABs[0], d.pt.Stats[0]
 	return d
 }
 
 // OnDataBatch processes one replayed block of accesses with direct calls on
 // the concrete controller (see IController.OnFetchBatch).
-func (d *DController) OnDataBatch(evs []trace.DataEvent) {
-	for i := range evs {
-		d.OnData(evs[i])
-	}
-}
+func (d *DController) OnDataBatch(evs []trace.DataEvent) { d.pt.OnDataBatch(evs) }
 
 // OnData processes one load or store.
-func (d *DController) OnData(ev trace.DataEvent) {
-	s := d.Stats
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
-	if !d.MAB.InRange(ev.Disp) {
-		// The low adder cannot produce the tag: bypass and conservatively
-		// invalidate per the configured clearing rule.
-		s.MABBypasses++
-		d.MAB.OnBypass()
-		d.fullAccess(ev)
-		return
-	}
-	s.MABLookups++
-	mabWay, mabHit := d.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
-		if d.Cache.Present(ev.Addr, mabWay) {
-			s.MABHits++
-			s.Hits++
-			d.Cache.Touch(ev.Addr, mabWay)
-			if ev.Store {
-				s.WayWrites++
-				d.Cache.MarkDirty(ev.Addr, mabWay)
-			} else {
-				s.WayReads++
-			}
-			return
-		}
-		// The memoized line was displaced: only reachable under
-		// PolicyPaper. Hardware would return the wrong way's data; the
-		// simulator counts it and recovers with a full access.
-		s.Violations++
-		d.MAB.Invalidate(ev.Base, ev.Disp)
-	}
-	s.MABMisses++
-	way := d.fullAccess(ev)
-	d.MAB.Update(ev.Base, ev.Disp, way)
-	s.MABUpdates++
-}
-
-// fullAccess performs a conventional access and returns the way that ends up
-// holding the line.
-func (d *DController) fullAccess(ev trace.DataEvent) int {
-	s, c := d.Stats, d.Cache
-	ways := uint64(c.Config().Ways)
-	s.TagReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads += ways // all data ways are read in parallel with tag compare
-		}
-	} else {
-		s.Misses++
-		if !ev.Store {
-			s.WayReads += ways // the parallel probe still burned all ways
-		}
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++ // line install into the selected way
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	c.Touch(ev.Addr, way)
-	if ev.Store {
-		s.WayWrites++ // single-way store via the write-back buffer
-		c.MarkDirty(ev.Addr, way)
-	}
-	return way
-}
+func (d *DController) OnData(ev trace.DataEvent) { d.pt.OnData(ev) }

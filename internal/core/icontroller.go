@@ -21,13 +21,14 @@ import (
 //
 // Indirect jumps through other registers have no base+displacement form and
 // bypass the MAB.
+//
+// It is the one-MAB, no-baseline case of Point.
 type IController struct {
 	Cache *cache.Cache
 	MAB   *MAB
 	Stats *stats.Counters
 
-	prevWay  int
-	havePrev bool
+	pt Point
 }
 
 var (
@@ -37,100 +38,16 @@ var (
 
 // NewIController builds the I-cache controller with its MAB.
 func NewIController(geo cache.Config, mcfg Config) *IController {
-	c := cache.New(geo)
-	m := New(mcfg, geo)
-	ic := &IController{Cache: c, MAB: m, Stats: &stats.Counters{}}
-	if mcfg.Consistency == PolicyEvictInvalidate {
-		c.OnEvict = m.OnEviction
-	}
+	ic := &IController{}
+	ic.pt.init(geo, nil, []Config{mcfg})
+	ic.Cache, ic.MAB, ic.Stats = ic.pt.Cache, ic.pt.MABs[0], ic.pt.Stats[0]
 	return ic
 }
 
 // OnFetchBatch processes one replayed block of fetches. The loop dispatches
 // on the concrete controller — no per-event interface call — which is what
 // makes the batched fan-out replay's inner loop a plain slice walk.
-func (ic *IController) OnFetchBatch(evs []trace.FetchEvent) {
-	for i := range evs {
-		ic.OnFetch(evs[i])
-	}
-}
+func (ic *IController) OnFetchBatch(evs []trace.FetchEvent) { ic.pt.OnFetchBatch(evs) }
 
 // OnFetch processes one packet fetch.
-func (ic *IController) OnFetch(ev trace.FetchEvent) {
-	s := ic.Stats
-	s.Accesses++
-	s.Loads++
-	if !ev.First {
-		flow := trace.Classify(ev, uint32(ic.Cache.Config().LineBytes))
-		s.Flow[flow]++
-		if flow == trace.IntraSeq && ic.havePrev {
-			// Case 1: the line was fetched last cycle; its way is known and
-			// it cannot have been evicted in between.
-			s.Case1Skips++
-			s.Hits++
-			s.WayReads++
-			ic.Cache.Touch(ev.Addr, ic.prevWay)
-			return
-		}
-	}
-	if ev.First || ev.Kind == trace.KindIndirect {
-		s.MABBypasses++
-		ic.MAB.OnBypass()
-		ic.prevWay = ic.fullFetch(ev)
-		ic.havePrev = true
-		return
-	}
-	if !ic.MAB.InRange(ev.Disp) {
-		// Branch offset beyond the low adder's reach.
-		s.MABBypasses++
-		ic.MAB.OnBypass()
-		ic.prevWay = ic.fullFetch(ev)
-		ic.havePrev = true
-		return
-	}
-	s.MABLookups++
-	mabWay, mabHit := ic.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
-		if ic.Cache.Present(ev.Addr, mabWay) {
-			s.MABHits++
-			s.Hits++
-			s.WayReads++
-			ic.Cache.Touch(ev.Addr, mabWay)
-			ic.prevWay = mabWay
-			ic.havePrev = true
-			return
-		}
-		s.Violations++
-		ic.MAB.Invalidate(ev.Base, ev.Disp)
-	}
-	s.MABMisses++
-	way := ic.fullFetch(ev)
-	ic.MAB.Update(ev.Base, ev.Disp, way)
-	s.MABUpdates++
-	ic.prevWay = way
-	ic.havePrev = true
-}
-
-// fullFetch performs a conventional fetch (all tag ways, all data ways read
-// in parallel) and returns the way holding the line.
-func (ic *IController) fullFetch(ev trace.FetchEvent) int {
-	s, c := ic.Stats, ic.Cache
-	ways := uint64(c.Config().Ways)
-	s.TagReads += ways
-	s.WayReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	c.Touch(ev.Addr, way)
-	return way
-}
+func (ic *IController) OnFetch(ev trace.FetchEvent) { ic.pt.OnFetch(ev) }

@@ -19,6 +19,8 @@ type DLineBufferController struct {
 	MAB   *MAB
 	Stats *stats.Counters
 
+	pt Point
+
 	bufValid bool
 	bufLine  uint32
 	bufWay   int
@@ -40,12 +42,13 @@ func (d *DLineBufferController) OnDataBatch(evs []trace.DataEvent) {
 
 // NewDLineBufferController builds the combined controller.
 func NewDLineBufferController(geo cache.Config, mcfg Config) *DLineBufferController {
-	c := cache.New(geo)
-	m := New(mcfg, geo)
-	d := &DLineBufferController{Cache: c, MAB: m, Stats: &stats.Counters{}}
-	c.OnEvict = func(ev cache.Eviction) {
-		if mcfg.Consistency == PolicyEvictInvalidate {
-			m.OnEviction(ev)
+	d := &DLineBufferController{}
+	d.pt.init(geo, nil, []Config{mcfg})
+	d.Cache, d.MAB, d.Stats = d.pt.Cache, d.pt.MABs[0], d.pt.Stats[0]
+	mabEvict := d.Cache.OnEvict
+	d.Cache.OnEvict = func(ev cache.Eviction) {
+		if mabEvict != nil {
+			mabEvict(ev)
 		}
 		if d.bufValid && geo.Set(d.bufLine) == ev.Set && geo.Tag(d.bufLine) == ev.Tag {
 			d.bufValid, d.bufDirty = false, false
@@ -57,16 +60,10 @@ func NewDLineBufferController(geo cache.Config, mcfg Config) *DLineBufferControl
 // OnData serves the access from the buffer, the MAB, or the full path.
 func (d *DLineBufferController) OnData(ev trace.DataEvent) {
 	s := d.Stats
-	geo := d.Cache.Config()
-	line := geo.LineAddr(ev.Addr)
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
+	line := d.Cache.Config().LineAddr(ev.Addr)
 	s.BufReads++
 	if d.bufValid && line == d.bufLine {
+		countAccess(s, ev.Store)
 		s.BufHits++
 		s.Hits++
 		d.Cache.Touch(ev.Addr, d.bufWay)
@@ -77,77 +74,14 @@ func (d *DLineBufferController) OnData(ev trace.DataEvent) {
 		}
 		return
 	}
-	// Buffer miss: flush a dirty buffered line, then the MAB path.
+	// Buffer miss: flush a dirty buffered line, then the MAB path, which
+	// counts the access.
 	if d.bufValid && d.bufDirty {
 		s.WayWrites++
 		d.bufDirty = false
 	}
-	way := d.mabAccess(ev)
+	way := d.pt.access(ev.Addr, ev.Base, ev.Disp, ev.Store, !d.pt.adder.inRange(ev.Disp))
 	d.bufValid, d.bufLine, d.bufWay = true, line, way
 	d.bufDirty = ev.Store
 	s.BufWrites++
-}
-
-// mabAccess is the DController access path, returning the final way.
-func (d *DLineBufferController) mabAccess(ev trace.DataEvent) int {
-	s := d.Stats
-	if !d.MAB.InRange(ev.Disp) {
-		s.MABBypasses++
-		d.MAB.OnBypass()
-		return d.fullAccess(ev)
-	}
-	s.MABLookups++
-	mabWay, mabHit := d.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
-		if d.Cache.Present(ev.Addr, mabWay) {
-			s.MABHits++
-			s.Hits++
-			d.Cache.Touch(ev.Addr, mabWay)
-			if ev.Store {
-				s.WayWrites++
-				d.Cache.MarkDirty(ev.Addr, mabWay)
-			} else {
-				s.WayReads++
-			}
-			return mabWay
-		}
-		s.Violations++
-		d.MAB.Invalidate(ev.Base, ev.Disp)
-	}
-	s.MABMisses++
-	way := d.fullAccess(ev)
-	d.MAB.Update(ev.Base, ev.Disp, way)
-	s.MABUpdates++
-	return way
-}
-
-func (d *DLineBufferController) fullAccess(ev trace.DataEvent) int {
-	s, c := d.Stats, d.Cache
-	ways := uint64(c.Config().Ways)
-	s.TagReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-	} else {
-		s.Misses++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	c.Touch(ev.Addr, way)
-	if ev.Store {
-		s.WayWrites++
-		c.MarkDirty(ev.Addr, way)
-	}
-	return way
 }

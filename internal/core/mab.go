@@ -108,39 +108,74 @@ type Lookup struct {
 	PredictedAddr uint32
 }
 
-// MAB is the Memory Address Buffer.
-type MAB struct {
-	cfg        Config
-	geo        cache.Config
+// lowAdder is the MAB's address front end for one cache geometry: the
+// displacement range check and the (key, cflag, set index) decomposition
+// of the small adder over the offset and set bits. Every MAB of a
+// geometry computes the same decomposition, so a controller driving
+// several MABs computes it once per access.
+type lowAdder struct {
 	lowBits    uint // offset+set bits covered by the small adder (14)
 	offsetBits uint
 	lowMask    uint32
+}
 
-	// The tag and set-index tables are stored column-wise (structure of
-	// arrays): Probe scans both tables on every single access, and keeping
-	// the compared columns contiguous lets one scan touch one cache line
-	// instead of one struct per entry.
-	tagKey   []uint32 // upper (32-lowBits) bits of the base address
-	tagCflag []uint8  // bit0 = carry, bit1 = displacement sign class
-	tagValid []bool
-	tagUse   []uint64
-	setIdx   []uint32
-	setValid []bool
-	setUse   []uint64
+func newLowAdder(geo cache.Config) lowAdder {
+	low := uint(geo.OffsetBits() + geo.SetBits())
+	return lowAdder{lowBits: low, offsetBits: uint(geo.OffsetBits()), lowMask: 1<<low - 1}
+}
 
-	vflag [][]bool
-	way   [][]int8
-	clock uint64
+// inRange reports whether disp fits the low adder: its upper bits must be
+// all zeros or all ones (|disp| < 2^lowBits), the paper's §3.3 condition.
+func (a lowAdder) inRange(disp int32) bool {
+	hi := disp >> a.lowBits
+	return hi == 0 || hi == -1
+}
 
-	// Slot resolution of the most recent Probe, so the Update that follows
-	// a missed probe (the controllers' hot path) skips both table scans.
-	// Only valid until the tables' occupancy changes: Update consumes it.
-	lastKey    uint32
-	lastCflag  uint8
-	lastSetIdx uint32
-	lastI      int
-	lastJ      int
-	lastValid  bool
+// key computes the tag-table key for (base, disp): the base's upper bits,
+// the cflag from the low adder, and the set index of base+disp (always
+// below the geometry's set count).
+func (a lowAdder) key(base uint32, disp int32) (key uint32, cflag uint8, setIdx uint32) {
+	low := base & a.lowMask
+	dlow := uint32(disp) & a.lowMask
+	sum := low + dlow
+	carry := uint8(sum >> a.lowBits & 1)
+	sign := uint8(0)
+	if disp < 0 {
+		sign = 1
+	}
+	return base >> a.lowBits, carry | sign<<1, (sum & a.lowMask) >> a.offsetBits
+}
+
+// MAB is the Memory Address Buffer.
+type MAB struct {
+	cfg Config
+	lowAdder
+
+	// The tag table is scanned: Nt is 1 to 4 in every configuration the
+	// paper considers. Like the set columns below, rows fill in index
+	// order and are never invalidated, so rows [0, tagFilled) are exactly
+	// the valid ones.
+	tags      []uint64 // tagEntry(key, cflag) per row
+	tagUse    []uint64
+	tagFilled int
+	clock     uint64
+
+	// The set-index table needs no scan. Columns fill in index order and
+	// are never invalidated, so columns [0, setFilled) are exactly the
+	// valid ones. setCol maps a set index to its column+1 (0: absent), one
+	// entry per cache set. setLRU links the valid columns in a circular
+	// recency list through a sentinel at index Ns: every use moves its
+	// column to the front (after the sentinel), so the sentinel's
+	// predecessor is the least recently used column. The sentinel makes
+	// every move the same few stores, with no branch.
+	setIdx    []uint32
+	setCol    []int32
+	setFilled int
+	setLRU    []link
+
+	// way[i*Ns+j] is the memoized way of pair (tag i, set j), or -1 when
+	// the pair's vflag is clear.
+	way []int8
 }
 
 // New builds a MAB for a cache with the given geometry.
@@ -152,24 +187,19 @@ func New(cfg Config, geo cache.Config) *MAB {
 		panic(err)
 	}
 	m := &MAB{
-		cfg:        cfg,
-		geo:        geo,
-		lowBits:    uint(geo.OffsetBits() + geo.SetBits()),
-		offsetBits: uint(geo.OffsetBits()),
-		tagKey:     make([]uint32, cfg.TagEntries),
-		tagCflag:   make([]uint8, cfg.TagEntries),
-		tagValid:   make([]bool, cfg.TagEntries),
-		tagUse:     make([]uint64, cfg.TagEntries),
-		setIdx:     make([]uint32, cfg.SetEntries),
-		setValid:   make([]bool, cfg.SetEntries),
-		setUse:     make([]uint64, cfg.SetEntries),
-		vflag:      make([][]bool, cfg.TagEntries),
-		way:        make([][]int8, cfg.TagEntries),
+		cfg:      cfg,
+		lowAdder: newLowAdder(geo),
+		tags:     make([]uint64, cfg.TagEntries),
+		tagUse:   make([]uint64, cfg.TagEntries),
+		setIdx:   make([]uint32, cfg.SetEntries),
+		setCol:   make([]int32, geo.Sets),
+		setLRU:   make([]link, cfg.SetEntries+1),
+		way:      make([]int8, cfg.TagEntries*cfg.SetEntries),
 	}
-	m.lowMask = 1<<m.lowBits - 1
-	for i := range m.vflag {
-		m.vflag[i] = make([]bool, cfg.SetEntries)
-		m.way[i] = make([]int8, cfg.SetEntries)
+	ns := int32(cfg.SetEntries)
+	m.setLRU[ns] = link{prev: ns, next: ns}
+	for k := range m.way {
+		m.way[k] = -1
 	}
 	return m
 }
@@ -185,60 +215,45 @@ func (m *MAB) Characterize() synth.Result {
 
 // InRange reports whether disp fits the low adder: its upper bits must be
 // all zeros or all ones (|disp| < 2^lowBits), the paper's §3.3 condition.
-func (m *MAB) InRange(disp int32) bool {
-	hi := disp >> m.lowBits
-	return hi == 0 || hi == -1
-}
-
-// key computes the tag-table key for (base, disp): the base's upper bits and
-// the cflag from the low adder.
-func (m *MAB) key(base uint32, disp int32) (key uint32, cflag uint8, setIdx uint32) {
-	low := base & m.lowMask
-	dlow := uint32(disp) & m.lowMask
-	sum := low + dlow
-	carry := uint8(sum >> m.lowBits & 1)
-	sign := uint8(0)
-	if disp < 0 {
-		sign = 1
-	}
-	return base >> m.lowBits, carry | sign<<1, (sum & m.lowMask) >> m.offsetBits
-}
+func (m *MAB) InRange(disp int32) bool { return m.inRange(disp) }
 
 // trueTag returns the physical cache tag the i-th tag entry denotes:
 // key + carry (positive displacement) or key + carry - 1 (negative).
 func (m *MAB) trueTag(i int) uint32 {
-	adj := uint32(m.tagCflag[i] & 1)
-	if m.tagCflag[i]&2 != 0 {
+	e := m.tags[i]
+	adj := uint32(e & 1)
+	if e&2 != 0 {
 		adj--
 	}
 	mask := uint32(1)<<(32-m.lowBits) - 1
-	return (m.tagKey[i] + adj) & mask
+	return (uint32(e>>2) + adj) & mask
 }
 
-func (m *MAB) findTag(key uint32, cflag uint8) int {
-	for i, k := range m.tagKey {
-		if k == key && m.tagValid[i] && m.tagCflag[i] == cflag {
-			return i
-		}
-	}
-	return -1
-}
+// tagEntry packs a tag-table entry: the key — the base address's upper
+// (32-lowBits) bits — above the 2-bit cflag (bit0 = carry, bit1 =
+// displacement sign class), so one compare matches both.
+func tagEntry(key uint32, cflag uint8) uint64 { return uint64(key)<<2 | uint64(cflag) }
 
-func (m *MAB) findSet(idx uint32) int {
-	for j, v := range m.setIdx {
-		if v == idx && m.setValid[j] {
-			return j
+// find resolves a decomposed access to its tag row and set column, each -1
+// when absent.
+func (m *MAB) find(key uint32, cflag uint8, setIdx uint32) (i, j int) {
+	i = -1
+	e := tagEntry(key, cflag)
+	for t, k := range m.tags[:m.tagFilled] {
+		if k == e {
+			i = t
+			break
 		}
 	}
-	return -1
+	return i, int(m.setCol[setIdx]) - 1
 }
 
 func (m *MAB) lruTag() int {
+	if m.tagFilled < len(m.tags) {
+		return m.tagFilled
+	}
 	victim, oldest := 0, ^uint64(0)
-	for i := range m.tagKey {
-		if !m.tagValid[i] {
-			return i
-		}
+	for i := range m.tags {
 		if m.tagUse[i] < oldest {
 			victim, oldest = i, m.tagUse[i]
 		}
@@ -246,26 +261,91 @@ func (m *MAB) lruTag() int {
 	return victim
 }
 
-func (m *MAB) lruSet() int {
-	victim, oldest := 0, ^uint64(0)
-	for j := range m.setIdx {
-		if !m.setValid[j] {
-			return j
+// link is one node of the set columns' recency list.
+type link struct{ prev, next int32 }
+
+// touchSet makes valid column j the most recently used.
+func (m *MAB) touchSet(j int32) {
+	l := m.setLRU
+	p, n := l[j].prev, l[j].next
+	l[p].next, l[n].prev = n, p
+	m.pushSet(j)
+}
+
+// pushSet links column j in as the most recently used.
+func (m *MAB) pushSet(j int32) {
+	l := m.setLRU
+	s := int32(len(l) - 1)
+	first := l[s].next
+	l[j] = link{prev: s, next: first}
+	l[first].prev, l[s].next = j, j
+}
+
+// probeAt reports the pair (i, j) of a resolved access, counting a hit as
+// a use of its tag row and set column.
+func (m *MAB) probeAt(i, j int) (way int, hit bool) {
+	if i < 0 || j < 0 {
+		return 0, false
+	}
+	w := m.way[i*m.cfg.SetEntries+j]
+	if w < 0 {
+		return 0, false
+	}
+	m.clock++
+	m.tagUse[i] = m.clock
+	m.touchSet(int32(j))
+	return int(w), true
+}
+
+// install memoizes way for the access resolved to (i, j) — either may be -1
+// — following the four hit/miss cases of §3.3.
+func (m *MAB) install(i, j int, key uint32, cflag uint8, setIdx uint32, way int) {
+	ns := m.cfg.SetEntries
+	m.clock++
+	if i < 0 {
+		// Replace the LRU tag row; all pairs of the old row die.
+		i = m.lruTag()
+		if i == m.tagFilled {
+			m.tagFilled++
 		}
-		if m.setUse[j] < oldest {
-			victim, oldest = j, m.setUse[j]
+		m.tags[i] = tagEntry(key, cflag)
+		row := m.way[i*ns : (i+1)*ns]
+		for s := range row {
+			row[s] = -1
 		}
 	}
-	return victim
+	switch {
+	case j >= 0:
+		m.touchSet(int32(j))
+	case m.setFilled < ns:
+		// Fill the next free column.
+		j = m.setFilled
+		m.setFilled++
+		m.setIdx[j] = setIdx
+		m.setCol[setIdx] = int32(j + 1)
+		m.pushSet(int32(j))
+	default:
+		// Replace the LRU set column; all pairs of the old column die.
+		j = int(m.setLRU[ns].prev)
+		m.setCol[m.setIdx[j]] = 0
+		m.setIdx[j] = setIdx
+		m.setCol[setIdx] = int32(j + 1)
+		for t := range m.tags {
+			m.way[t*ns+j] = -1
+		}
+		m.touchSet(int32(j))
+	}
+	m.tagUse[i] = m.clock
+	m.way[i*ns+j] = int8(way)
 }
 
 // Probe looks (base, disp) up without modifying anything except the LRU
-// clocks on a hit (a hit is also a use).
+// state on a hit (a hit is also a use).
 func (m *MAB) Probe(base uint32, disp int32) Lookup {
-	if !m.InRange(disp) {
+	if !m.inRange(disp) {
 		return Lookup{}
 	}
-	key, cflag, _ := m.key(base, disp)
+	key, cflag, setIdx := m.key(base, disp)
 	// Reconstruct the predicted address the way the hardware does: the low
 	// bits come from the 14-bit adder, the tag from the base's upper bits
 	// adjusted by carry and displacement sign. For in-range displacements
@@ -276,96 +356,48 @@ func (m *MAB) Probe(base uint32, disp int32) Lookup {
 	}
 	predLow := (base + uint32(disp)) & m.lowMask
 	res := Lookup{InRange: true, PredictedAddr: (key+adj)<<m.lowBits | predLow}
-	res.Way, res.Hit = m.probeFast(base, disp)
+	res.Way, res.Hit = m.probeAt(m.find(key, cflag, setIdx))
 	return res
-}
-
-// probeFast is Probe stripped for the controllers' per-event hot path: the
-// caller has already checked InRange, and nothing on the hot path consumes
-// the predicted address (the controllers verify the memoized way against
-// the final address the trace already carries), so neither is recomputed
-// here.
-func (m *MAB) probeFast(base uint32, disp int32) (way int, hit bool) {
-	key, cflag, setIdx := m.key(base, disp)
-	i := m.findTag(key, cflag)
-	j := m.findSet(setIdx)
-	m.lastKey, m.lastCflag, m.lastSetIdx = key, cflag, setIdx
-	m.lastI, m.lastJ, m.lastValid = i, j, true
-	if i >= 0 && j >= 0 && m.vflag[i][j] {
-		m.clock++
-		m.tagUse[i] = m.clock
-		m.setUse[j] = m.clock
-		return int(m.way[i][j]), true
-	}
-	return 0, false
 }
 
 // Update installs (base, disp) → way after a full cache access, following
 // the four hit/miss cases of §3.3.
 func (m *MAB) Update(base uint32, disp int32, way int) {
-	if !m.InRange(disp) {
+	if !m.inRange(disp) {
 		return
 	}
 	key, cflag, setIdx := m.key(base, disp)
-	var i, j int
-	if m.lastValid && m.lastKey == key && m.lastCflag == cflag && m.lastSetIdx == setIdx {
-		// Between the probe and this update only vflag bits can have
-		// changed (eviction invalidations), never table occupancy, so the
-		// memoized slots are still the scan's answer.
-		i, j = m.lastI, m.lastJ
-	} else {
-		i, j = m.findTag(key, cflag), m.findSet(setIdx)
-	}
-	m.lastValid = false
-	m.clock++
-	if i < 0 {
-		// Replace the LRU tag row; all pairs of the old row die.
-		i = m.lruTag()
-		m.tagKey[i], m.tagCflag[i], m.tagValid[i], m.tagUse[i] = key, cflag, true, 0
-		for s := range m.vflag[i] {
-			m.vflag[i][s] = false
-		}
-	}
-	if j < 0 {
-		// Replace the LRU set column; all pairs of the old column die.
-		j = m.lruSet()
-		m.setIdx[j], m.setValid[j], m.setUse[j] = setIdx, true, 0
-		for t := range m.vflag {
-			m.vflag[t][j] = false
-		}
-	}
-	m.tagUse[i] = m.clock
-	m.setUse[j] = m.clock
-	m.vflag[i][j] = true
-	m.way[i][j] = int8(way)
+	i, j := m.find(key, cflag, setIdx)
+	m.install(i, j, key, cflag, setIdx, way)
 }
 
 // Invalidate clears the pair denoting (base, disp) if present. Used when a
 // verified MAB hit turns out stale under PolicyPaper.
 func (m *MAB) Invalidate(base uint32, disp int32) {
-	if !m.InRange(disp) {
+	if !m.inRange(disp) {
 		return
 	}
-	key, cflag, setIdx := m.key(base, disp)
-	if i, j := m.findTag(key, cflag), m.findSet(setIdx); i >= 0 && j >= 0 {
-		m.vflag[i][j] = false
+	if i, j := m.find(m.key(base, disp)); i >= 0 && j >= 0 {
+		m.clearPair(i, j)
 	}
 }
+
+// clearPair clears the vflag of the resolved pair (i, j).
+func (m *MAB) clearPair(i, j int) { m.way[i*m.cfg.SetEntries+j] = -1 }
 
 // OnBypass applies the configured conservative clearing when an access
 // cannot be tracked by the MAB (large displacement or indirect jump).
 func (m *MAB) OnBypass() {
 	switch m.cfg.clearMode() {
 	case ClearAll:
-		for i := range m.vflag {
-			for j := range m.vflag[i] {
-				m.vflag[i][j] = false
-			}
+		for k := range m.way {
+			m.way[k] = -1
 		}
 	case ClearLRURow:
-		i := m.lruTag()
-		for j := range m.vflag[i] {
-			m.vflag[i][j] = false
+		ns := m.cfg.SetEntries
+		row := m.way[m.lruTag()*ns:][:ns]
+		for s := range row {
+			row[s] = -1
 		}
 	}
 }
@@ -373,14 +405,14 @@ func (m *MAB) OnBypass() {
 // OnEviction clears pairs that denote the evicted line. Wired to
 // cache.Cache.OnEvict under PolicyEvictInvalidate.
 func (m *MAB) OnEviction(ev cache.Eviction) {
-	for j := range m.setIdx {
-		if !m.setValid[j] || m.setIdx[j] != ev.Set {
-			continue
-		}
-		for i := range m.tagKey {
-			if m.vflag[i][j] && m.tagValid[i] && m.trueTag(i) == ev.Tag {
-				m.vflag[i][j] = false
-			}
+	j := int(m.setCol[ev.Set]) - 1
+	if j < 0 {
+		return
+	}
+	ns := m.cfg.SetEntries
+	for i := range m.tags[:m.tagFilled] {
+		if m.way[i*ns+j] >= 0 && m.trueTag(i) == ev.Tag {
+			m.way[i*ns+j] = -1
 		}
 	}
 }
@@ -388,11 +420,9 @@ func (m *MAB) OnEviction(ev cache.Eviction) {
 // ValidPairs returns the number of currently valid (tag,set) pairs.
 func (m *MAB) ValidPairs() int {
 	n := 0
-	for i := range m.vflag {
-		for j := range m.vflag[i] {
-			if m.vflag[i][j] {
-				n++
-			}
+	for _, w := range m.way {
+		if w >= 0 {
+			n++
 		}
 	}
 	return n
@@ -402,15 +432,15 @@ func (m *MAB) ValidPairs() int {
 // resident at the memoized way. It returns the number of violating pairs.
 func (m *MAB) CheckInvariant(c *cache.Cache) int {
 	bad := 0
-	for i := range m.vflag {
-		for j := range m.vflag[i] {
-			if !m.vflag[i][j] {
-				continue
-			}
-			tag, valid := c.TagAt(m.setIdx[j], int(m.way[i][j]))
-			if !valid || tag != m.trueTag(i) {
-				bad++
-			}
+	ns := m.cfg.SetEntries
+	for k, w := range m.way {
+		if w < 0 {
+			continue
+		}
+		i, j := k/ns, k%ns
+		tag, valid := c.TagAt(m.setIdx[j], int(w))
+		if !valid || tag != m.trueTag(i) {
+			bad++
 		}
 	}
 	return bad

@@ -311,3 +311,304 @@ func TestPaperPolicyViolationsAreRare(t *testing.T) {
 		t.Fatalf("violation rate %.4f implausibly high", rate)
 	}
 }
+
+// scanMAB is the MAB as it was before its set table became O(1): every
+// table is searched by a linear scan and the LRU victims are found by
+// scanning per-entry use stamps. It is the reference TestMABAgainstScan
+// holds the production tables to, operation by operation.
+type scanMAB struct {
+	cfg     Config
+	lowBits uint
+	offBits uint
+	lowMask uint32
+
+	tagKey   []uint32
+	tagCflag []uint8
+	tagValid []bool
+	tagUse   []uint64
+	setIdx   []uint32
+	setValid []bool
+	setUse   []uint64
+	vflag    [][]bool
+	way      [][]int8
+	clock    uint64
+}
+
+func newScanMAB(cfg Config, geo cache.Config) *scanMAB {
+	m := &scanMAB{
+		cfg:      cfg,
+		lowBits:  uint(geo.OffsetBits() + geo.SetBits()),
+		offBits:  uint(geo.OffsetBits()),
+		tagKey:   make([]uint32, cfg.TagEntries),
+		tagCflag: make([]uint8, cfg.TagEntries),
+		tagValid: make([]bool, cfg.TagEntries),
+		tagUse:   make([]uint64, cfg.TagEntries),
+		setIdx:   make([]uint32, cfg.SetEntries),
+		setValid: make([]bool, cfg.SetEntries),
+		setUse:   make([]uint64, cfg.SetEntries),
+		vflag:    make([][]bool, cfg.TagEntries),
+		way:      make([][]int8, cfg.TagEntries),
+	}
+	m.lowMask = 1<<m.lowBits - 1
+	for i := range m.vflag {
+		m.vflag[i] = make([]bool, cfg.SetEntries)
+		m.way[i] = make([]int8, cfg.SetEntries)
+	}
+	return m
+}
+
+func (m *scanMAB) inRange(disp int32) bool {
+	hi := disp >> m.lowBits
+	return hi == 0 || hi == -1
+}
+
+func (m *scanMAB) key(base uint32, disp int32) (uint32, uint8, uint32) {
+	sum := base&m.lowMask + uint32(disp)&m.lowMask
+	cflag := uint8(sum >> m.lowBits & 1)
+	if disp < 0 {
+		cflag |= 2
+	}
+	return base >> m.lowBits, cflag, (sum & m.lowMask) >> m.offBits
+}
+
+func (m *scanMAB) trueTag(i int) uint32 {
+	adj := uint32(m.tagCflag[i] & 1)
+	if m.tagCflag[i]&2 != 0 {
+		adj--
+	}
+	return (m.tagKey[i] + adj) & (uint32(1)<<(32-m.lowBits) - 1)
+}
+
+func (m *scanMAB) findTag(key uint32, cflag uint8) int {
+	for i, k := range m.tagKey {
+		if k == key && m.tagValid[i] && m.tagCflag[i] == cflag {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *scanMAB) findSet(idx uint32) int {
+	for j, v := range m.setIdx {
+		if v == idx && m.setValid[j] {
+			return j
+		}
+	}
+	return -1
+}
+
+func (m *scanMAB) lruTag() int {
+	victim, oldest := 0, ^uint64(0)
+	for i := range m.tagKey {
+		if !m.tagValid[i] {
+			return i
+		}
+		if m.tagUse[i] < oldest {
+			victim, oldest = i, m.tagUse[i]
+		}
+	}
+	return victim
+}
+
+func (m *scanMAB) lruSet() int {
+	victim, oldest := 0, ^uint64(0)
+	for j := range m.setIdx {
+		if !m.setValid[j] {
+			return j
+		}
+		if m.setUse[j] < oldest {
+			victim, oldest = j, m.setUse[j]
+		}
+	}
+	return victim
+}
+
+func (m *scanMAB) Probe(base uint32, disp int32) Lookup {
+	if !m.inRange(disp) {
+		return Lookup{}
+	}
+	key, cflag, setIdx := m.key(base, disp)
+	adj := uint32(cflag & 1)
+	if cflag&2 != 0 {
+		adj--
+	}
+	res := Lookup{InRange: true,
+		PredictedAddr: (key+adj)<<m.lowBits | (base+uint32(disp))&m.lowMask}
+	i, j := m.findTag(key, cflag), m.findSet(setIdx)
+	if i >= 0 && j >= 0 && m.vflag[i][j] {
+		m.clock++
+		m.tagUse[i], m.setUse[j] = m.clock, m.clock
+		res.Hit, res.Way = true, int(m.way[i][j])
+	}
+	return res
+}
+
+func (m *scanMAB) Update(base uint32, disp int32, way int) {
+	if !m.inRange(disp) {
+		return
+	}
+	key, cflag, setIdx := m.key(base, disp)
+	i, j := m.findTag(key, cflag), m.findSet(setIdx)
+	m.clock++
+	if i < 0 {
+		i = m.lruTag()
+		m.tagKey[i], m.tagCflag[i], m.tagValid[i] = key, cflag, true
+		for s := range m.vflag[i] {
+			m.vflag[i][s] = false
+		}
+	}
+	if j < 0 {
+		j = m.lruSet()
+		m.setIdx[j], m.setValid[j] = setIdx, true
+		for t := range m.vflag {
+			m.vflag[t][j] = false
+		}
+	}
+	m.tagUse[i], m.setUse[j] = m.clock, m.clock
+	m.vflag[i][j] = true
+	m.way[i][j] = int8(way)
+}
+
+func (m *scanMAB) Invalidate(base uint32, disp int32) {
+	if !m.inRange(disp) {
+		return
+	}
+	key, cflag, setIdx := m.key(base, disp)
+	if i, j := m.findTag(key, cflag), m.findSet(setIdx); i >= 0 && j >= 0 {
+		m.vflag[i][j] = false
+	}
+}
+
+func (m *scanMAB) OnBypass() {
+	switch m.cfg.clearMode() {
+	case ClearAll:
+		for i := range m.vflag {
+			for j := range m.vflag[i] {
+				m.vflag[i][j] = false
+			}
+		}
+	case ClearLRURow:
+		i := m.lruTag()
+		for j := range m.vflag[i] {
+			m.vflag[i][j] = false
+		}
+	}
+}
+
+func (m *scanMAB) OnEviction(ev cache.Eviction) {
+	for j := range m.setIdx {
+		if !m.setValid[j] || m.setIdx[j] != ev.Set {
+			continue
+		}
+		for i := range m.tagKey {
+			if m.vflag[i][j] && m.tagValid[i] && m.trueTag(i) == ev.Tag {
+				m.vflag[i][j] = false
+			}
+		}
+	}
+}
+
+func (m *scanMAB) ValidPairs() int {
+	n := 0
+	for i := range m.vflag {
+		for j := range m.vflag[i] {
+			if m.vflag[i][j] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (m *scanMAB) CheckInvariant(c *cache.Cache) int {
+	bad := 0
+	for i := range m.vflag {
+		for j := range m.vflag[i] {
+			if !m.vflag[i][j] {
+				continue
+			}
+			if tag, valid := c.TagAt(m.setIdx[j], int(m.way[i][j])); !valid || tag != m.trueTag(i) {
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// TestMABAgainstScan drives the O(1) MAB and the linear-scan reference
+// through the same random operation stream — probes, updates,
+// invalidations, evictions of both memoized and unrelated lines, and
+// bypass clears — for every clear mode and several table shapes, and
+// demands the same answer from every operation. A side cache filled from
+// the same address pool gives CheckInvariant real, shifting contents.
+func TestMABAgainstScan(t *testing.T) {
+	geos := []cache.Config{cache.FRV32K, {Sets: 16, Ways: 2, LineBytes: 16}, {Sets: 64, Ways: 4, LineBytes: 64}}
+	shapes := []Config{
+		{TagEntries: 1, SetEntries: 1},
+		{TagEntries: 1, SetEntries: 4},
+		{TagEntries: 2, SetEntries: 8},
+		{TagEntries: 2, SetEntries: 32},
+		{TagEntries: 4, SetEntries: 16},
+	}
+	modes := []ClearMode{ClearAll, ClearLRURow, ClearNone}
+	steps := 40000
+	if testing.Short() {
+		steps = 8000
+	}
+	for gi, g := range geos {
+		for _, shape := range shapes {
+			for _, mode := range modes {
+				cfg := shape
+				cfg.Consistency, cfg.Clear = PolicyPaper, mode
+				got, want := New(cfg, g), newScanMAB(cfg, g)
+				c := cache.New(g)
+				r := rand.New(rand.NewSource(int64(gi*1000 + cfg.TagEntries*100 + cfg.SetEntries*3 + int(mode))))
+				// Few bases keep tag rows alive long enough for probes to
+				// hit, so the set columns' recency order decides victims.
+				bases := make([]uint32, 3)
+				for i := range bases {
+					bases[i] = uint32(r.Intn(1 << 22))
+				}
+				disps := []int32{0, 4, -4, 64, -64, 200, -200, 520, -1000, 8192, -8192, 20000, 1 << 20}
+				for step := 0; step < steps; step++ {
+					base := bases[r.Intn(len(bases))]
+					disp := disps[r.Intn(len(disps))]
+					addr := base + uint32(disp)
+					switch op := r.Intn(20); {
+					case op < 9:
+						if gp, wp := got.Probe(base, disp), want.Probe(base, disp); gp != wp {
+							t.Fatalf("%v %v step %d: Probe(%#x,%d) = %+v, reference %+v", g, cfg, step, base, disp, gp, wp)
+						}
+					case op < 15:
+						way := r.Intn(g.Ways)
+						got.Update(base, disp, way)
+						want.Update(base, disp, way)
+						if _, ev := c.Fill(addr); ev.Way >= 0 && r.Intn(2) == 0 {
+							got.OnEviction(ev)
+							want.OnEviction(ev)
+						}
+					case op < 17:
+						got.Invalidate(base, disp)
+						want.Invalidate(base, disp)
+					case op < 19:
+						ev := cache.Eviction{Tag: g.Tag(addr), Set: g.Set(addr), Way: r.Intn(g.Ways)}
+						if r.Intn(3) == 0 {
+							ev.Tag++ // an unrelated line of the same set
+						}
+						got.OnEviction(ev)
+						want.OnEviction(ev)
+					default:
+						got.OnBypass()
+						want.OnBypass()
+					}
+					if gv, wv := got.ValidPairs(), want.ValidPairs(); gv != wv {
+						t.Fatalf("%v %v step %d: %d valid pairs, reference %d", g, cfg, step, gv, wv)
+					}
+					if gb, wb := got.CheckInvariant(c), want.CheckInvariant(c); gb != wb {
+						t.Fatalf("%v %v step %d: CheckInvariant %d, reference %d", g, cfg, step, gb, wb)
+					}
+				}
+			}
+		}
+	}
+}

@@ -139,15 +139,16 @@ func WithTraceSharing(on bool) Option {
 // WithBatchReplay toggles the batched fan-out scheduling (default on).
 // Batched, the engine turns a sweep into per-(workload, packet) fan-out
 // passes: each workload's uncached grid points are cut into passes of at
-// most 64 points, and every pass instantiates its points' technique sinks
+// most 64 points, and every pass instantiates one sink per point — the
+// point's baseline and MAB sizes sharing one cache model (suite.NewPoint) —
 // and feeds them all from a single pass over the workload's captured trace
 // (suite.TraceCache.FanOutWidth), spread over as many workers as its share
 // of the work earns — so a G-geometry sweep streams each capture a handful
 // of times instead of once per technique per geometry. Off, the
 // engine schedules one task per grid point, each replaying the capture once
-// per sink — the legacy path, kept as an escape hatch for regression
-// hunting. Results are bit-identical either way; ignored when trace sharing
-// is disabled.
+// per technique into independent controllers — the legacy path, kept as an
+// escape hatch for regression hunting. Results are bit-identical either
+// way; ignored when trace sharing is disabled.
 func WithBatchReplay(on bool) Option {
 	return func(o *options) error { o.noBatch = !on; return nil }
 }
@@ -281,12 +282,11 @@ type fanPoint struct {
 }
 
 // fanPass is one scheduling unit of the batched fan-out: up to
-// maxShardPoints of one workload's uncached grid points, whose technique
-// sinks are all fed by a single pass over the workload's capture. cost —
+// maxShardPoints of one workload's uncached grid points, whose sinks (one
+// per point) are all fed by a single pass over the workload's capture. cost —
 // the capture's events on the swept stream times the points — is the
 // delivery work the pass will do.
 type fanPass struct {
-	w    workloads.Workload
 	pts  []fanPoint
 	cost int64
 }
@@ -299,7 +299,7 @@ const maxShardPoints = 64
 // hits are served first without touching the trace engine, every missed
 // workload is then captured (in parallel), and its remaining points are
 // cut into passes of at most maxShardPoints, each replaying the capture
-// once into all of its points' technique sinks. Passes start longest first
+// once into all of its points' sinks (runPass). Passes start longest first
 // and take workers from the parallelism budget in proportion to their share
 // of the work still unstarted, so one heavy workload spreads over the
 // cores the light ones leave idle instead of finishing alone. Point results
@@ -368,7 +368,7 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	for i, w := range ws {
 		group := missed[w.Name]
 		for _, r := range pool.Split(len(group), (len(group)+maxShardPoints-1)/maxShardPoints) {
-			p := fanPass{w: w, pts: group[r[0]:r[1]], cost: events[i] * int64(r[1]-r[0])}
+			p := fanPass{pts: group[r[0]:r[1]], cost: events[i] * int64(r[1]-r[0])}
 			passes = append(passes, p)
 			left += p.cost
 		}
@@ -376,7 +376,7 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	sort.SliceStable(passes, func(a, b int) bool { return passes[a].cost > passes[b].cost })
 
 	// A starting pass takes ceil(free × cost / left) workers — its share of
-	// the unstarted work — capped by its sink count.
+	// the unstarted work — capped by its sink count, one per point.
 	share := func(i, free int) int {
 		p := passes[i]
 		k := 1
@@ -384,60 +384,27 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 			k = int((int64(free)*p.cost + left - 1) / left)
 		}
 		left -= p.cost
-		return min(k, len(p.pts)*len(techs))
+		return min(k, len(p.pts))
 	}
 	var misses atomic.Int64
 	err := pool.RunBudget(ctx, len(passes), o.parallelism, share, func(runCtx context.Context, idx, width int) error {
 		p := passes[idx]
-		for _, fp := range p.pts {
+		pp := make([]Point, len(p.pts))
+		for i, fp := range p.pts {
+			pp[i] = fp.pt
 			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry, Workload: fp.pt.Workload.Name})
 		}
-		// Instantiate this pass's technique sinks only now, so the memory
-		// a sweep holds live is bounded by the active passes, not the grid.
-		// Pairs are laid out point-major, in allocation order: a wide pass
-		// splits them into contiguous groups, so each consumer gets every
-		// technique of its own run of geometries, built side by side in
-		// memory no other consumer writes. Every sink receives the full
-		// stream regardless of pair order or width, so results are
-		// unaffected.
-		insts := make([][]suite.Instance, len(p.pts))
-		pairs := make([]trace.SinkPair, 0, len(p.pts)*len(techs))
-		for pi, fp := range p.pts {
-			insts[pi] = make([]suite.Instance, len(techs))
-			for ti, tech := range techs {
-				inst := tech.New(fp.pt.Geometry)
-				if inst.Stats == nil {
-					return fmt.Errorf("explore: technique %s/%q produced no counters", tech.Domain, tech.ID)
-				}
-				var pair trace.SinkPair
-				switch tech.Domain {
-				case suite.Data:
-					if inst.Data == nil {
-						return fmt.Errorf("explore: technique %s/%q produced no data sink", tech.Domain, tech.ID)
-					}
-					pair.Data = inst.Data
-				case suite.Fetch:
-					if inst.Fetch == nil {
-						return fmt.Errorf("explore: technique %s/%q produced no fetch sink", tech.Domain, tech.ID)
-					}
-					pair.Fetch = inst.Fetch
-				}
-				insts[pi][ti] = inst
-				pairs = append(pairs, pair)
-			}
-		}
-		c, err := tc.FanOutWidth(runCtx, p.w, s.PacketBytes, pairs, len(p.pts), width)
+		prs, err := runPass(runCtx, s, tc, pp, techs, mabs, width)
 		if err != nil {
 			return err
 		}
-		for pi, fp := range p.pts {
-			pr := assemblePoint(fp.pt, techs, mabs, insts[pi], c.Cycles, c.Instrs)
+		for i, fp := range p.pts {
 			if o.cache != nil {
-				if err := o.cache.Put(fp.key, pr); err != nil {
+				if err := o.cache.Put(fp.key, prs[i]); err != nil {
 					return err
 				}
 			}
-			results[fp.pt.Index] = *pr
+			results[fp.pt.Index] = *prs[i]
 			misses.Add(1)
 			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry,
 				Workload: fp.pt.Workload.Name, Done: true})
@@ -447,12 +414,39 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	return hits, int(misses.Load()), err
 }
 
-// assemblePoint prices one grid point's freshly replayed instances into the
-// PointResult the analysis layer and the result cache consume — the same
-// shape runPoint extracts from a suite.Run, so both schedulers produce
+// runPass simulates pts, all of one workload, in one batched fan-out pass
+// over the workload's capture spread over up to width workers. Each point is one sink
+// (suite.NewPoint): its baseline and every MAB size share one cache model.
+// The sinks are built only now, so the memory a sweep holds live is
+// bounded by the active passes, not the grid, and in point order: a wide
+// pass splits them into contiguous groups, so each consumer owns a run of
+// geometries, built side by side in memory no other consumer writes. Every
+// sink receives the full stream regardless of order or width, so results
+// are unaffected. The results come back in pts order.
+func runPass(ctx context.Context, s Space, tc *suite.TraceCache, pts []Point,
+	techs []suite.Technique, mabs []core.Config, width int) ([]*PointResult, error) {
+	pairs := make([]trace.SinkPair, len(pts))
+	res := make([][]suite.TechResult, len(pts))
+	for i, pt := range pts {
+		pairs[i], res[i] = suite.NewPoint(s.Domain, pt.Geometry, mabs)
+	}
+	c, err := tc.FanOutWidth(ctx, pts[0].Workload, s.PacketBytes, pairs, len(techs), len(pts), width)
+	if err != nil {
+		return nil, err
+	}
+	prs := make([]*PointResult, len(pts))
+	for i, pt := range pts {
+		prs[i] = assemblePoint(pt, techs, mabs, res[i], c.Cycles, c.Instrs)
+	}
+	return prs, nil
+}
+
+// assemblePoint prices one grid point's technique results, in techs order,
+// into the PointResult the analysis layer and the result cache consume.
+// Both schedulers build their points through it, so they produce
 // byte-identical grids.
 func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
-	insts []suite.Instance, cycles, instrs uint64) *PointResult {
+	res []suite.TechResult, cycles, instrs uint64) *PointResult {
 	pr := &PointResult{
 		Geometry: pt.Geometry,
 		Workload: pt.Workload.Name,
@@ -463,8 +457,8 @@ func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
 	for i := range techs {
 		out := TechOutcome{
 			ID:    string(techs[i].ID),
-			Stats: *insts[i].Stats,
-			Power: power.Compute(insts[i].Stats, cycles, insts[i].Model),
+			Stats: *res[i].Stats,
+			Power: power.Compute(res[i].Stats, cycles, res[i].Model),
 		}
 		if i > 0 { // techs[0] is the baseline; the rest follow mabs order
 			out.TagEntries = mabs[i-1].TagEntries
@@ -508,9 +502,7 @@ func runPoint(ctx context.Context, s Space, pt Point, techs []suite.Technique,
 			return pr, true, nil
 		}
 	}
-	// The per-point scheduler only runs live (no trace cache) or as the
-	// legacy escape hatch, so the inner suite pass must not batch either.
-	pr, err := simulatePoint(ctx, s, pt, techs, mabs, tc, false)
+	pr, err := simulatePoint(ctx, s, pt, techs, mabs, tc)
 	if err != nil {
 		return nil, false, err
 	}
@@ -526,25 +518,36 @@ func runPoint(ctx context.Context, s Space, pt Point, techs []suite.Technique,
 // result cache attached — the serve daemon's unit of work: the daemon does
 // its own store probing and in-flight deduplication per point and calls
 // this only for points that must actually run. With a trace cache the point
-// replays the workload's shared capture in one batched fan-out pass, so
-// however many daemon clients sweep a workload, it executes at most once
-// per (workload, packet). Results are bit-identical to explore.Run's.
+// is a one-point fan-out pass over the workload's shared capture (the pass
+// explore.Run's scheduler runs), so however many daemon clients sweep a
+// workload, it executes at most once per (workload, packet); without one it
+// executes live. Results are bit-identical to explore.Run's.
 func SimulatePoint(ctx context.Context, s Space, pt Point, tc *suite.TraceCache) (*PointResult, error) {
-	return simulatePoint(ctx, s, pt, s.techniques(), s.MABs(), tc, true)
+	techs, mabs := s.techniques(), s.MABs()
+	if tc == nil {
+		return simulatePoint(ctx, s, pt, techs, mabs, nil)
+	}
+	prs, err := runPass(ctx, s, tc, []Point{pt}, techs, mabs, 1)
+	if err != nil {
+		return nil, err
+	}
+	return prs[0], nil
 }
 
 // simulatePoint is one suite pass over pt's workload with the space's full
-// technique list attached, extracted into the PointResult shape the result
-// cache and analysis layer consume.
+// technique list attached as independent controllers — live, or replayed
+// per sink from tc — extracted into the PointResult shape the result cache
+// and analysis layer consume. It is the per-point scheduler's path and the
+// oracle the grouped fan-out pass is checked against.
 func simulatePoint(ctx context.Context, s Space, pt Point, techs []suite.Technique,
-	mabs []core.Config, tc *suite.TraceCache, batched bool) (*PointResult, error) {
+	mabs []core.Config, tc *suite.TraceCache) (*PointResult, error) {
 	runOpts := []suite.Option{
 		suite.WithWorkloads(pt.Workload),
 		suite.WithTechniques(techs...),
 		suite.WithGeometry(pt.Geometry),
 		suite.WithPacketBytes(s.PacketBytes),
 		suite.WithParallelism(1),
-		suite.WithBatchReplay(batched),
+		suite.WithBatchReplay(false),
 	}
 	if tc != nil {
 		runOpts = append(runOpts, suite.WithTraceCache(tc))
@@ -554,32 +557,17 @@ func simulatePoint(ctx context.Context, s Space, pt Point, techs []suite.Techniq
 		return nil, err
 	}
 	b := r.Benchmarks[0]
-	pr := &PointResult{
-		Geometry: pt.Geometry,
-		Workload: b.Name,
-		Cycles:   b.Cycles,
-		Instrs:   b.Instrs,
-		Techs:    make([]TechOutcome, 0, len(techs)),
-	}
 	byID := b.D
 	if s.Domain == suite.Fetch {
 		byID = b.I
 	}
+	res := make([]suite.TechResult, len(techs))
 	for i, t := range techs {
 		tr, ok := byID[t.ID]
 		if !ok {
 			return nil, fmt.Errorf("explore: technique %q missing from results", t.ID)
 		}
-		out := TechOutcome{
-			ID:    string(t.ID),
-			Stats: *tr.Stats,
-			Power: power.Compute(tr.Stats, b.Cycles, tr.Model),
-		}
-		if i > 0 { // techs[0] is the baseline; the rest follow mabs order
-			out.TagEntries = mabs[i-1].TagEntries
-			out.SetEntries = mabs[i-1].SetEntries
-		}
-		pr.Techs = append(pr.Techs, out)
+		res[i] = tr
 	}
-	return pr, nil
+	return assemblePoint(pt, techs, mabs, res, b.Cycles, b.Instrs), nil
 }

@@ -9,6 +9,7 @@ import (
 	"waymemo/internal/core"
 	"waymemo/internal/power"
 	"waymemo/internal/synth"
+	"waymemo/internal/trace"
 )
 
 // IDs of the standard suite — the eight technique instances of the paper's
@@ -39,9 +40,7 @@ func MABDataTechnique(id ID, desc string, cfg core.Config) Technique {
 	return Technique{ID: id, Domain: Data, Desc: desc,
 		New: func(geo cache.Config) Instance {
 			c := core.NewDController(geo, cfg)
-			m := ArrayModel(geo)
-			m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
-			return Instance{Data: c, Stats: c.Stats, Model: m}
+			return Instance{Data: c, Stats: c.Stats, Model: mabModel(geo, cfg)}
 		}}
 }
 
@@ -51,10 +50,37 @@ func MABFetchTechnique(id ID, desc string, cfg core.Config) Technique {
 	return Technique{ID: id, Domain: Fetch, Desc: desc,
 		New: func(geo cache.Config) Instance {
 			c := core.NewIController(geo, cfg)
-			m := ArrayModel(geo)
-			m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
-			return Instance{Fetch: c, Stats: c.Stats, Model: m}
+			return Instance{Fetch: c, Stats: c.Stats, Model: mabModel(geo, cfg)}
 		}}
+}
+
+// mabModel prices a way-memoized technique: the bare array plus the
+// synthesized MAB.
+func mabModel(geo cache.Config, cfg core.Config) power.Model {
+	m := ArrayModel(geo)
+	m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
+	return m
+}
+
+// NewPoint instantiates one grid point of domain d: the conventional
+// baseline ("original") followed by one way-memoized technique per MAB
+// configuration, all driven by a single shared cache model (core.Point).
+// It returns the point's one sink and its techniques' results, baseline
+// first, then in mabs order; the counters fill as the sink is fed. They
+// are bit-identical to attaching the baseline and each MABDataTechnique
+// (or MABFetchTechnique) as independent controllers, at a fraction of the
+// cost: the cache is simulated once, not once per technique.
+func NewPoint(d Domain, geo cache.Config, mabs []core.Config) (trace.SinkPair, []TechResult) {
+	p := core.NewPoint(geo, mabs...)
+	res := make([]TechResult, 0, 1+len(mabs))
+	res = append(res, TechResult{Stats: p.Base, Model: ArrayModel(geo)})
+	for k, cfg := range mabs {
+		res = append(res, TechResult{Stats: p.Stats[k], Model: mabModel(geo, cfg)})
+	}
+	if d == Fetch {
+		return trace.SinkPair{Fetch: p}, res
+	}
+	return trace.SinkPair{Data: p}, res
 }
 
 // mabID formats the conventional NtxNs MAB name ("mab-2x8").

@@ -90,13 +90,15 @@ type TraceCacheStats struct {
 	// FanOutPasses counts batched fan-out passes over a capture, and
 	// FanOutSinks the technique sinks those passes fed, so
 	// FanOutSinks/FanOutPasses is the average fan-out width — how many
-	// techniques each streaming of a trace paid for.
+	// techniques each streaming of a trace paid for. Both count
+	// techniques, not sink objects: a grouped sink serving k techniques
+	// (NewPoint) counts as k sinks.
 	FanOutPasses int
 	FanOutSinks  int
 	// FanOutEvents is the number of events the passes walked (counted once
-	// per pass); FanOutDeliveries the per-sink deliveries those walks
-	// produced (each pass delivers its fetch stream to every fetch sink and
-	// its data stream to every data sink).
+	// per pass); FanOutDeliveries the per-technique deliveries those walks
+	// produced (each pass delivers its fetch stream to every fetch
+	// technique and its data stream to every data technique).
 	FanOutEvents     int64
 	FanOutDeliveries int64
 }
@@ -200,15 +202,18 @@ func (tc *TraceCache) Capture(ctx context.Context, w workloads.Workload, packet 
 // runs the pass serves — suite.Run passes 1 per workload, an explore pass
 // passes its grid-point count — and is what Stats().Replays advances by, so
 // the counter keeps meaning "benchmark runs served by replay" however wide
-// the fan-out is. It is FanOutWidth at width 1.
+// the fan-out is. It is FanOutWidth at width 1 with one technique per pair.
 func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs int) (Capture, error) {
-	return tc.FanOutWidth(ctx, w, packet, pairs, runs, 1)
+	return tc.FanOutWidth(ctx, w, packet, pairs, 1, runs, 1)
 }
 
 // FanOutWidth is FanOut with the pass's sinks spread over up to width
 // goroutines (trace.Buffer.ReplayAllWidth). The stream is still decoded
-// once, so a pass of any width counts as one pass in Stats.
-func (tc *TraceCache) FanOutWidth(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs, width int) (Capture, error) {
+// once, so a pass of any width counts as one pass in Stats. techs is the
+// number of techniques each pair's sink serves (a grouped sink such as
+// NewPoint's serves several): Stats counts sinks and deliveries in
+// techniques, so the fan-out width means the same whatever the grouping.
+func (tc *TraceCache) FanOutWidth(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, techs, runs, width int) (Capture, error) {
 	c, err := tc.Capture(ctx, w, packet)
 	if err != nil {
 		return Capture{}, err
@@ -227,9 +232,9 @@ func (tc *TraceCache) FanOutWidth(ctx context.Context, w workloads.Workload, pac
 	}
 	tc.replays.Add(int64(runs))
 	tc.fanPasses.Add(1)
-	tc.fanSinks.Add(int64(len(pairs)))
+	tc.fanSinks.Add(int64(len(pairs) * techs))
 	tc.fanEvents.Add(int64(c.Buf.Len()))
-	tc.fanDeliveries.Add(deliveries)
+	tc.fanDeliveries.Add(deliveries * int64(techs))
 	return c, nil
 }
 
